@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,15 +56,13 @@ type ComputeNode struct {
 
 	ring     atomic.Pointer[place.Ring]
 	failed   *fdetect.Bitset
-	deadMu   sync.RWMutex
-	deadMem  map[rdma.NodeID]bool
+	deadMem  cowSet[rdma.NodeID]
 	cfgEpoch atomic.Uint64
 
 	// migrating marks partitions whose placement is mid-cutover
 	// (DESIGN.md §13): transactions touching one abort with the reconfig
 	// kind and retry after the new view is installed.
-	migMu     sync.RWMutex
-	migrating map[uint32]bool
+	migrating cowSet[uint32]
 
 	// cacheEpoch stamps every validated-read-cache entry; any event that
 	// could silently change committed state out from under cached values
@@ -83,8 +82,7 @@ type ComputeNode struct {
 	pause   sync.RWMutex
 	crashed atomic.Bool
 
-	injMu    sync.Mutex
-	injector CrashInjector
+	injector atomic.Pointer[CrashInjector]
 
 	// suspectFn, when set, receives the id of a memory node whose link
 	// faulted a verb (timeout or partition) — the coordinator's report
@@ -123,8 +121,6 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema [
 		schema:    schema,
 		opts:      opts,
 		failed:    fdetect.NewBitset(),
-		deadMem:   make(map[rdma.NodeID]bool),
-		migrating: make(map[uint32]bool),
 		addrCache: make(map[addrKey]objRef),
 		hbStop:    make(chan struct{}),
 		stallPoll: 20 * time.Microsecond,
@@ -221,15 +217,14 @@ func (cn *ComputeNode) FlushDrains() {
 // injector installed, multi-verb phases run verb-at-a-time so a crash
 // can land between any two verbs.
 func (cn *ComputeNode) SetInjector(inj CrashInjector) {
-	cn.injMu.Lock()
-	cn.injector = inj
-	cn.injMu.Unlock()
+	cn.injector.Store(&inj)
 }
 
 func (cn *ComputeNode) getInjector() CrashInjector {
-	cn.injMu.Lock()
-	defer cn.injMu.Unlock()
-	return cn.injector
+	if p := cn.injector.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // SetSuspectReporter installs the callback coordinators use to report a
@@ -301,9 +296,7 @@ func (cn *ComputeNode) NotifyStrayLocks(ids []kvlayout.CoordID) {
 // server failure: the partition primaries deterministically move to the
 // next live replica (§3.2.5).
 func (cn *ComputeNode) NotifyMemoryFailure(node rdma.NodeID) {
-	cn.deadMu.Lock()
-	cn.deadMem[node] = true
-	cn.deadMu.Unlock()
+	cn.deadMem.set(node, true)
 	cn.cfgEpoch.Add(1)
 	cn.cacheEpoch.Add(1)
 }
@@ -312,9 +305,7 @@ func (cn *ComputeNode) NotifyMemoryFailure(node rdma.NodeID) {
 // again in this node's placement view (after a power-failed NVM server
 // restarts, or after re-replication).
 func (cn *ComputeNode) NotifyMemoryRecovered(node rdma.NodeID) {
-	cn.deadMu.Lock()
-	delete(cn.deadMem, node)
-	cn.deadMu.Unlock()
+	cn.deadMem.set(node, false)
 	cn.cfgEpoch.Add(1)
 	// A restarted NVM server resumes primary duty serving its durable
 	// image, which may lag values cached during the outage window.
@@ -323,9 +314,7 @@ func (cn *ComputeNode) NotifyMemoryRecovered(node rdma.NodeID) {
 
 // memAlive reports this node's view of a memory server's liveness.
 func (cn *ComputeNode) memAlive(n rdma.NodeID) bool {
-	cn.deadMu.RLock()
-	defer cn.deadMu.RUnlock()
-	return !cn.deadMem[n]
+	return !cn.deadMem.has(n)
 }
 
 // SwapRing installs a new placement ring (after re-replication onto a
@@ -340,9 +329,7 @@ func (cn *ComputeNode) SwapRing(r *place.Ring) {
 	cn.addrMu.Lock()
 	cn.addrCache = make(map[addrKey]objRef)
 	cn.addrMu.Unlock()
-	cn.deadMu.Lock()
-	cn.deadMem = make(map[rdma.NodeID]bool)
-	cn.deadMu.Unlock()
+	cn.deadMem.clear()
 	cn.cacheEpoch.Add(1)
 }
 
@@ -353,21 +340,51 @@ func (cn *ComputeNode) SwapRing(r *place.Ring) {
 // installing the new view, so no transaction can commit against the old
 // placement once the cutover copy has started.
 func (cn *ComputeNode) SetPartitionMigrating(partition uint32, on bool) {
-	cn.migMu.Lock()
-	if on {
-		cn.migrating[partition] = true
-	} else {
-		delete(cn.migrating, partition)
-	}
-	cn.migMu.Unlock()
+	cn.migrating.set(partition, on)
 	cn.cfgEpoch.Add(1)
 }
 
 // partitionMigrating reports whether a partition is marked mid-cutover.
 func (cn *ComputeNode) partitionMigrating(partition uint32) bool {
-	cn.migMu.RLock()
-	defer cn.migMu.RUnlock()
-	return cn.migrating[partition]
+	return cn.migrating.has(partition)
+}
+
+// cowSet is a set read lock-free on the transaction path: readers load
+// an immutable map (nil when empty, so the common case is one atomic
+// load and a nil check); writers, serialised by mu, publish a copy.
+type cowSet[K comparable] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]bool]
+}
+
+func (s *cowSet[K]) has(k K) bool {
+	m := s.m.Load()
+	return m != nil && (*m)[k]
+}
+
+func (s *cowSet[K]) set(k K, on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := make(map[K]bool)
+	if old := s.m.Load(); old != nil {
+		maps.Copy(next, *old)
+	}
+	if on {
+		next[k] = true
+	} else {
+		delete(next, k)
+	}
+	if len(next) == 0 {
+		s.m.Store(nil)
+	} else {
+		s.m.Store(&next)
+	}
+}
+
+func (s *cowSet[K]) clear() {
+	s.mu.Lock()
+	s.m.Store(nil)
+	s.mu.Unlock()
 }
 
 // InstallView installs an intermediate placement view during a

@@ -18,20 +18,28 @@ func skipIfRace(t *testing.T, contract string) {
 }
 
 // TestRecordPathZeroAlloc: the warm recording paths — phase histogram,
-// verb counters on a seen node, abort counters — must be heap-free.
+// verb counters on a seen node (one shard or spread over all of them),
+// abort counters — must be heap-free.
 // They run on every fabric verb and every transaction phase; a single
 // allocation here would show up in every AllocsPerRun gate downstream.
 func TestRecordPathZeroAlloc(t *testing.T) {
 	skipIfRace(t, "the metrics zero-alloc record contract (histogram/verb/abort on the warm path)")
 	r := New()
-	r.CountVerb(1000, VerbRead, false, VerbOK) // warm the node table
+	for shard := uint64(0); shard < verbShards; shard++ {
+		r.CountVerb(1000, VerbRead, shard, false, VerbOK) // warm every shard's node table
+	}
 
+	var issuer uint64
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"RecordPhase", func() { r.RecordPhase(PhaseLock, 3, 7*time.Microsecond) }},
-		{"CountVerb", func() { r.CountVerb(1000, VerbRead, true, VerbDeadlineExpired) }},
+		{"CountVerb", func() { r.CountVerb(1000, VerbRead, 0, true, VerbDeadlineExpired) }},
+		{"CountVerbSharded", func() {
+			issuer++ // walks every shard
+			r.CountVerb(1000, VerbRead, issuer, true, VerbDeadlineExpired)
+		}},
 		{"CountAbort", func() { r.CountAbort(AbortLockConflict) }},
 	}
 	for _, c := range cases {
@@ -77,7 +85,7 @@ func TestNilRecordPathZeroAlloc(t *testing.T) {
 	var r *Registry
 	if n := testing.AllocsPerRun(200, func() {
 		r.RecordPhase(PhaseRead, 0, time.Microsecond)
-		r.CountVerb(1, VerbCAS, false, VerbOK)
+		r.CountVerb(1, VerbCAS, 5, false, VerbOK)
 		r.CountAbort(AbortFault)
 	}); n != 0 {
 		t.Fatalf("nil registry allocates %.1f/op, want 0", n)

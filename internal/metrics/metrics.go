@@ -238,7 +238,7 @@ type Registry struct {
 	phases [NumPhases]Histogram
 	aborts [NumAbortReasons]atomic.Uint64
 	locks  [NumLockEvents]atomic.Uint64
-	verbs  verbTable
+	verbs  [verbShards]verbTable
 
 	drains     [NumDrainEvents]atomic.Uint64
 	drainDepth atomic.Int64  // current drain-queue depth gauge
@@ -318,14 +318,17 @@ func (r *Registry) CountCommitRound() {
 }
 
 // CountVerb counts one issued verb against destination node, plus its
-// retransmission flag and outcome. Warm path (node already seen) is
-// lock-free and allocation-free; the first verb to a new node takes a
-// mutex and copies the registration table. Nil-safe.
-func (r *Registry) CountVerb(node uint16, v Verb, retried bool, outcome VerbOutcome) {
+// retransmission flag and outcome. The shard key (the issuing node)
+// spreads concurrent issuers across counter shards, as RecordPhase's
+// does; any value is valid and Snapshot sums the shards. Warm path
+// (node already seen by the shard) is lock-free and allocation-free;
+// the first verb to a new node takes the shard's mutex and copies its
+// registration table. Nil-safe.
+func (r *Registry) CountVerb(node uint16, v Verb, shard uint64, retried bool, outcome VerbOutcome) {
 	if r == nil || v >= NumVerbs {
 		return
 	}
-	c := &r.verbs.block(node).counters[v]
+	c := &r.verbs[shard&(verbShards-1)].block(node).counters[v]
 	c.issued.Add(1)
 	if retried {
 		c.retried.Add(1)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -62,10 +63,10 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestVerbCounters(t *testing.T) {
 	r := New()
-	r.CountVerb(1001, VerbCAS, false, VerbOK)
-	r.CountVerb(1001, VerbCAS, true, VerbOK)
-	r.CountVerb(1001, VerbCAS, false, VerbDeadlineExpired)
-	r.CountVerb(1000, VerbRead, false, VerbFaulted)
+	r.CountVerb(1001, VerbCAS, 0, false, VerbOK)
+	r.CountVerb(1001, VerbCAS, 0, true, VerbOK)
+	r.CountVerb(1001, VerbCAS, 0, false, VerbDeadlineExpired)
+	r.CountVerb(1000, VerbRead, 0, false, VerbFaulted)
 
 	s := r.Snapshot()
 	if len(s.Verbs) != 2*int(NumVerbs) {
@@ -86,6 +87,63 @@ func TestVerbCounters(t *testing.T) {
 	}
 	if cas.Issued != 3 || cas.Retried != 1 || cas.DeadlineExpired != 1 || cas.Faulted != 0 {
 		t.Errorf("CAS@1001 = %+v", cas)
+	}
+}
+
+// TestVerbShardsSumLikeOneShard: the same CountVerb calls spread over
+// several shard keys (issuers) must give the same Snapshot, Sub delta
+// and JSON as when they all land on one shard — sharding is a layout
+// detail, never visible in the artifacts.
+func TestVerbShardsSumLikeOneShard(t *testing.T) {
+	type call struct {
+		node    uint16
+		v       Verb
+		retried bool
+		outcome VerbOutcome
+	}
+	var calls []call
+	for i := 0; i < 300; i++ {
+		calls = append(calls, call{
+			node:    []uint16{1002, 2, 1000, 900}[i%4],
+			v:       Verb(i % int(NumVerbs)),
+			retried: i%5 == 0,
+			outcome: VerbOutcome(i % 3),
+		})
+	}
+	record := func(r *Registry, calls []call, shard func(i int) uint64) {
+		for i, c := range calls {
+			r.CountVerb(c.node, c.v, shard(i), c.retried, c.outcome)
+		}
+	}
+	run := func(shard func(i int) uint64) (Snapshot, []byte) {
+		r := New()
+		record(r, calls[:100], shard)
+		before := r.Snapshot()
+		record(r, calls[100:], shard)
+		after := r.Snapshot()
+		b, err := after.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Sub(before), b
+	}
+	oneDelta, oneJSON := run(func(int) uint64 { return 3 })
+	for _, c := range []struct {
+		name  string
+		shard func(i int) uint64
+	}{
+		{"round-robin", func(i int) uint64 { return uint64(i) }},
+		{"by-node", func(i int) uint64 { return uint64(calls[i].node) }},
+		{"wide-keys", func(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }},
+	} {
+		name := c.name
+		delta, js := run(c.shard)
+		if !bytes.Equal(js, oneJSON) {
+			t.Errorf("%s: sharded JSON differs from one-shard JSON:\n%s\n----\n%s", name, js, oneJSON)
+		}
+		if !reflect.DeepEqual(delta.Verbs, oneDelta.Verbs) {
+			t.Errorf("%s: sharded Sub verbs differ:\n%+v\n----\n%+v", name, delta.Verbs, oneDelta.Verbs)
+		}
 	}
 }
 
@@ -150,7 +208,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.RecordPhase(PhaseLock, 3, time.Second)
 	r.CountAbort(AbortFault)
 	r.CountLock(LockRetry)
-	r.CountVerb(7, VerbWrite, true, VerbFaulted)
+	r.CountVerb(7, VerbWrite, 0, true, VerbFaulted)
 	s := r.Snapshot()
 	if !s.Idle() {
 		t.Fatalf("nil registry snapshot not idle: %+v", s)
@@ -165,7 +223,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 func TestSnapshotSub(t *testing.T) {
 	r := New()
 	r.RecordPhase(PhaseValidate, 0, time.Microsecond)
-	r.CountVerb(5, VerbRead, false, VerbOK)
+	r.CountVerb(5, VerbRead, 0, false, VerbOK)
 	r.CountAbort(AbortSteal)
 	before := r.Snapshot()
 
@@ -174,8 +232,8 @@ func TestSnapshotSub(t *testing.T) {
 	}
 
 	r.RecordPhase(PhaseValidate, 0, 2*time.Microsecond)
-	r.CountVerb(5, VerbRead, true, VerbOK)
-	r.CountVerb(9, VerbFAA, false, VerbOK) // node unseen by `before`
+	r.CountVerb(5, VerbRead, 0, true, VerbOK)
+	r.CountVerb(9, VerbFAA, 0, false, VerbOK) // node unseen by `before`
 	r.CountAbort(AbortSteal)
 
 	d := r.Snapshot().Sub(before)
@@ -210,8 +268,8 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 		r := New()
 		// Register nodes out of order to exercise the sorted table.
 		for _, n := range []uint16{1002, 2, 1000, 900} {
-			r.CountVerb(n, VerbWrite, false, VerbOK)
-			r.CountVerb(n, VerbRead, n%2 == 0, VerbOK)
+			r.CountVerb(n, VerbWrite, 0, false, VerbOK)
+			r.CountVerb(n, VerbRead, 0, n%2 == 0, VerbOK)
 		}
 		for i := 0; i < 1000; i++ {
 			r.RecordPhase(Phase(i%int(NumPhases)), uint64(i), time.Duration(i)*time.Microsecond)
@@ -242,7 +300,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.RecordPhase(PhaseCommitBack, uint64(g), time.Duration(i))
-				r.CountVerb(uint16(i%13), VerbCAS, i%7 == 0, VerbOK)
+				r.CountVerb(uint16(i%13), VerbCAS, uint64(g), i%7 == 0, VerbOK)
 				if i%100 == 0 {
 					r.CountAbort(AbortLockConflict)
 				}

@@ -1,6 +1,9 @@
 package metrics
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"slices"
+)
 
 // PhaseSnapshot is one phase histogram, summarised. The quantiles are
 // bucket floors (see bucketFloor), so they are deterministic functions
@@ -104,19 +107,29 @@ func (r *Registry) Snapshot() Snapshot {
 		MaxDepth:     r.drainMax.Load(),
 		CommitRounds: r.commitRounds.Load(),
 	}
-	if t := r.verbs.tab.Load(); t != nil {
-		for i, node := range t.nodes { // nodes are sorted
-			for v := Verb(0); v < NumVerbs; v++ {
-				c := &t.blocks[i].counters[v]
-				s.Verbs = append(s.Verbs, VerbSnapshot{
-					Node:            node,
-					Verb:            v.String(),
-					Issued:          c.issued.Load(),
-					Retried:         c.retried.Load(),
-					DeadlineExpired: c.expired.Load(),
-					Faulted:         c.faulted.Load(),
-				})
+	// Sum the shards per node; rows stay sorted by node, then verb.
+	tabs := make([]*verbTab, 0, verbShards)
+	var nodes []uint16
+	for i := range r.verbs {
+		if t := r.verbs[i].tab.Load(); t != nil {
+			tabs = append(tabs, t)
+			nodes = append(nodes, t.nodes...)
+		}
+	}
+	slices.Sort(nodes)
+	for _, node := range slices.Compact(nodes) {
+		for v := Verb(0); v < NumVerbs; v++ {
+			row := VerbSnapshot{Node: node, Verb: v.String()}
+			for _, t := range tabs {
+				if b := t.find(node); b != nil {
+					c := &b.counters[v]
+					row.Issued += c.issued.Load()
+					row.Retried += c.retried.Load()
+					row.DeadlineExpired += c.expired.Load()
+					row.Faulted += c.faulted.Load()
+				}
 			}
+			s.Verbs = append(s.Verbs, row)
 		}
 	}
 	return s

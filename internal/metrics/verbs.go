@@ -13,9 +13,17 @@ type verbCounters struct {
 	faulted atomic.Uint64
 }
 
-// verbBlock holds one destination node's counters, one cell per verb.
+// verbShards spreads concurrent issuers across independent counter
+// tables, so issuers on different cores never write one counter word.
+// Must be a power of two.
+const verbShards = 8
+
+// verbBlock holds one destination node's counters in one shard, one
+// cell per verb, padded to a cache-line multiple so blocks of different
+// shards never share a line.
 type verbBlock struct {
 	counters [NumVerbs]verbCounters
+	_        [(64 - NumVerbs*32%64) % 64]byte
 }
 
 // verbTab is the immutable registration table: nodes sorted ascending,

@@ -110,7 +110,7 @@ func (ep *Endpoint) admit(dst NodeID, n int) (time.Duration, error) {
 // for the fabric's lifetime (nodes and regions are never removed), so a
 // snapshot can never yield a wrong handle — but rights (down, revoked,
 // crashed) are deliberately NOT cached: they are re-read on every verb
-// under the target's barrier shard, which is what linearizes them
+// under the issuer's barrier shard, which is what linearizes them
 // against fences. The fabric epoch, bumped on every revoke/fence/
 // liveness transition, additionally invalidates the whole snapshot so
 // an endpoint never runs on handles resolved before a fence.
@@ -216,7 +216,7 @@ func (op *Op) size() int {
 // parallel batches pre-roll instead (see doParallel) and pass the draw.
 const faultInline = time.Duration(-1)
 
-// post executes one verb: link admission, the target's barrier shard,
+// post executes one verb: link admission, the issuer's barrier shard,
 // the incarnation gate, the rights check, then the memory operation. It
 // returns the verb's modelled duration; op.Err carries the completion
 // status. Admission and gate failures charge (and roll) nothing; every
@@ -226,17 +226,18 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 	extra, err := ep.admit(op.Addr.Node, n)
 	if err != nil {
 		op.Err = err
-		ep.fab.countVerb(op, 0)
+		ep.fab.countVerb(ep.node, op, 0)
 		return 0
 	}
+	// Resolve before taking the barrier: a slow lookup read-locks the
+	// fabric map, which a fence keeps read-locked while it waits for
+	// this shard, so a node attaching in between would deadlock them.
 	ns, r := ep.lookup(op.Addr.Node, op.Addr.Region)
-	if ns != nil {
-		ns.verbs.RLock()
-		defer ns.verbs.RUnlock()
-	}
+	ep.self.verbs.RLock()
+	defer ep.self.verbs.RUnlock()
 	if err := ep.gateCheck(); err != nil {
 		op.Err = err
-		ep.fab.countVerb(op, 0)
+		ep.fab.countVerb(ep.node, op, 0)
 		return 0
 	}
 	if fault < 0 {
@@ -269,7 +270,7 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 			op.Err = ErrNoRegion
 		}
 	}
-	ep.fab.countVerb(op, fault)
+	ep.fab.countVerb(ep.node, op, fault)
 	return d
 }
 

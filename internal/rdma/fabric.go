@@ -46,12 +46,13 @@ type Fabric struct {
 // SetMetrics attaches (or, with nil, detaches) the verb-counter sink.
 func (f *Fabric) SetMetrics(m *metrics.Registry) { f.met.Store(m) }
 
-// countVerb reports one posted verb: issued always; retried when the
-// transport rolled retransmissions (fault > 0); the outcome from the
+// countVerb reports one verb posted by src: issued always; retried when
+// the transport rolled retransmissions (fault > 0); the outcome from the
 // completion error — a deadline expiry counts as such, every other
 // error (partition, node down, revocation, crash, missing region) as
-// faulted. No-op when no sink is attached.
-func (f *Fabric) countVerb(op *Op, fault time.Duration) {
+// faulted. The issuer is the counter shard key, so issuers never write
+// each other's counter words. No-op when no sink is attached.
+func (f *Fabric) countVerb(src NodeID, op *Op, fault time.Duration) {
 	m := f.met.Load()
 	if m == nil {
 		return
@@ -64,21 +65,21 @@ func (f *Fabric) countVerb(op *Op, fault time.Duration) {
 	default:
 		outcome = metrics.VerbFaulted
 	}
-	m.CountVerb(uint16(op.Addr.Node), metrics.Verb(op.Kind), fault > 0, outcome)
+	m.CountVerb(uint16(op.Addr.Node), metrics.Verb(op.Kind), uint64(src), fault > 0, outcome)
 }
 
 // nodeState carries one node's fabric-visible state. Each node also
-// owns one shard of the in-flight verb barrier: every verb targeting
-// the node holds verbs.RLock for its whole execution (rights check +
+// owns one shard of the in-flight verb barrier: every verb the node
+// ISSUES holds its verbs.RLock for its whole execution (rights check +
 // memory operation), and state transitions that must fence in-flight
-// work — revocation (active-link termination), node crash/down — take
-// the write side, which waits for outstanding verbs to land, exactly as
-// a real QP transition to the error state flushes outstanding work
-// requests. Sharding the barrier per node means verbs to different
-// memory nodes never contend on one global lock, while a fence still
-// linearizes against every verb that could touch the fenced node.
+// work take the write side of the shards of every issuer whose verbs
+// they must flush — exactly as a real QP transition to the error state
+// flushes only that QP's outstanding work requests. Sharding by issuer
+// means a verb writes no lock word another issuer writes; which fence
+// takes which shards is documented on the fences (DESIGN.md §9).
 type nodeState struct {
 	verbs sync.RWMutex
+	_     [40]byte // pads verbs (24 B) to its own cache line
 
 	mu      sync.RWMutex // guards regions and revoked
 	regions map[RegionID]*Region
@@ -87,9 +88,9 @@ type nodeState struct {
 	revoked map[NodeID]bool
 
 	// down/crashed/nrevoked are read lock-free on the verb path; they
-	// are only written under verbs.Lock (the fence), which is what makes
-	// the transition visible to — and ordered against — every in-flight
-	// verb.
+	// are only written under the fence of every issuer whose verbs read
+	// them, which is what makes the transition visible to — and ordered
+	// against — every in-flight verb.
 	down     atomic.Bool
 	crashed  atomic.Bool // for compute endpoints: local crash flag
 	nrevoked atomic.Int32
@@ -180,20 +181,23 @@ func (f *Fabric) LookupRegion(node NodeID, id RegionID) *Region {
 }
 
 // Revoke terminates endpoint from's access rights to the memory of node
-// target ("active-link termination", Cor1). Idempotent.
+// target ("active-link termination", Cor1). Idempotent. Only from's
+// verbs can be affected, so the fence covers only from's barrier shard
+// (a QP flush of the revoked link); an unattached from has no verbs in
+// flight and needs no fence.
 func (f *Fabric) Revoke(target, from NodeID) {
 	ns := f.node(target)
 	if ns == nil {
 		return
 	}
-	ns.verbs.Lock() // fence: wait for in-flight verbs to target, then cut rights
+	fenced := f.fence(from) // wait for from's in-flight verbs, then cut rights
 	ns.mu.Lock()
 	if !ns.revoked[from] {
 		ns.revoked[from] = true
 		ns.nrevoked.Add(1)
 	}
 	ns.mu.Unlock()
-	ns.verbs.Unlock()
+	f.unfence(fenced)
 	f.epoch.Add(1)
 }
 
@@ -222,9 +226,9 @@ func (f *Fabric) SetDown(node NodeID, down bool) {
 	if ns == nil {
 		return
 	}
-	ns.verbs.Lock() // fence in-flight verbs to this node across the transition
+	fenced := f.fence() // verbs from any issuer may target the node
 	ns.down.Store(down)
-	ns.verbs.Unlock()
+	f.unfence(fenced)
 	f.epoch.Add(1)
 	// Verbs parked on a stalled link to this node must observe the
 	// transition (a dead target unblocks them with ErrNodeDown).
@@ -243,21 +247,19 @@ func (f *Fabric) IsDown(node NodeID) bool {
 // SetCrashed marks a (compute) node's local process crashed. Endpoints
 // of a crashed node refuse to post verbs with ErrCrashed.
 //
-// The crash flag is issuer-side: the node's in-flight verbs may target
-// any memory node, so the fence must cover every barrier shard, not
-// just one. fenceAll acquires the shards in ascending node order (verbs
-// hold only a single shard's read side, so this cannot deadlock) and
+// The crash flag is issuer-side and read only by the node's own verbs,
+// which all hold the node's own barrier shard: fencing that one shard
 // guarantees that when SetCrashed returns, all of the crashed node's
-// outstanding verbs have landed and no new one can pass the rights
-// check.
+// outstanding verbs — to every target — have landed and no new one can
+// pass the rights check.
 func (f *Fabric) SetCrashed(node NodeID, crashed bool) {
 	ns := f.node(node)
 	if ns == nil {
 		return
 	}
-	fenced := f.fenceAll()
+	fenced := f.fence(node)
 	ns.crashed.Store(crashed)
-	unfence(fenced)
+	f.unfence(fenced)
 	f.epoch.Add(1)
 	// A crashed issuer's verbs parked on stalled links die with
 	// ErrCrashed rather than outliving the process.
@@ -273,30 +275,34 @@ func (f *Fabric) IsCrashed(node NodeID) bool {
 	return ns.crashed.Load()
 }
 
-// fenceAll write-locks every node's barrier shard in ascending node
-// order and returns them for unfence. Verb execution holds at most one
-// shard (its target's) read-locked and never blocks while holding it on
-// anything but leaf locks, so a globally ordered sweep cannot deadlock.
-func (f *Fabric) fenceAll() []*nodeState {
+// fence write-locks the barrier shards of the given issuers — of every
+// attached node when none are given — and returns them for unfence.
+// Verbs hold only their issuer's shard, read side, and take no fabric
+// lock under it, so a sweep in ascending node order cannot deadlock.
+// f.mu stays read-locked until unfence, so no node can attach (and start
+// issuing verbs) mid-fence.
+func (f *Fabric) fence(issuers ...NodeID) []*nodeState {
 	f.mu.RLock()
-	ids := make([]NodeID, 0, len(f.nodes))
-	for id := range f.nodes {
-		ids = append(ids, id)
+	if len(issuers) == 0 {
+		issuers = make([]NodeID, 0, len(f.nodes))
+		for id := range f.nodes {
+			issuers = append(issuers, id)
+		}
+		slices.Sort(issuers)
 	}
-	f.mu.RUnlock()
-	slices.Sort(ids)
-	states := make([]*nodeState, len(ids))
-	for i, id := range ids {
-		states[i] = f.node(id)
-	}
-	for _, ns := range states {
-		ns.verbs.Lock()
+	states := make([]*nodeState, 0, len(issuers))
+	for _, id := range issuers {
+		if ns := f.nodes[id]; ns != nil {
+			ns.verbs.Lock()
+			states = append(states, ns)
+		}
 	}
 	return states
 }
 
-func unfence(states []*nodeState) {
+func (f *Fabric) unfence(states []*nodeState) {
 	for i := len(states) - 1; i >= 0; i-- {
 		states[i].verbs.Unlock()
 	}
+	f.mu.RUnlock()
 }

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,19 +53,63 @@ func TestEndpointGate(t *testing.T) {
 	}
 }
 
+// bystander hammers WRITEs from issuer src to addr until stop closes,
+// counting completions; any error fails the test. It is the unrelated
+// issuer whose verbs a fence scoped to another issuer must leave alone.
+func bystander(t *testing.T, wg *sync.WaitGroup, f *Fabric, src NodeID, addr Addr, stop <-chan struct{}) *atomic.Int64 {
+	var done atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ep := f.Endpoint(src)
+		buf := []byte{0xb5}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := ep.Write(addr, buf); err != nil {
+				t.Errorf("bystander issuer %d: %v", src, err)
+				return
+			}
+			done.Add(1)
+		}
+	}()
+	return &done
+}
+
+// awaitProgress waits until c moves past its current value, failing the
+// test if it stays put for seconds (a generous bound: under -race the
+// hammers run ~10x slower, but a fenced-out issuer never moves at all).
+func awaitProgress(t *testing.T, c *atomic.Int64, what string) {
+	t.Helper()
+	n := c.Load()
+	for deadline := time.Now().Add(5 * time.Second); c.Load() == n; { //pandora:wallclock real-concurrency test: bounds the wait for live goroutines
+		if time.Now().After(deadline) { //pandora:wallclock real-concurrency test: bounds the wait for live goroutines
+			t.Fatalf("%s made no progress", what)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestRevokeFencesInFlightVerbs checks the QP-flush semantics: after
 // Revoke returns, no verb from the revoked node can land — even one
 // already executing. We approximate "in flight" by hammering writes
 // from many goroutines while revoking, then verifying memory never
-// changes after the post-revoke snapshot.
+// changes after the post-revoke snapshot. The fence covers only the
+// revoked issuer's shard: an unrelated issuer (node 2) writing to the
+// same region keeps succeeding throughout.
 func TestRevokeFencesInFlightVerbs(t *testing.T) {
 	f := NewFabric(LatencyModel{})
 	f.AddNode(0)
 	f.AddNode(1)
-	f.RegisterRegion(1, 0, 64)
+	f.AddNode(2)
+	f.RegisterRegion(1, 0, 128)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	other := bystander(t, &wg, f, 2, Addr{Node: 1, Offset: 64}, stop)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -93,6 +138,7 @@ func TestRevokeFencesInFlightVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond) //pandora:wallclock real-concurrency test: lets the live hammer goroutines race the fence
+	awaitProgress(t, other, "unrelated issuer after Revoke(1, 0)")
 	after := make([]byte, 1)
 	if err := f.Endpoint(1).Read(Addr{Node: 1}, after); err != nil {
 		t.Fatal(err)
@@ -106,15 +152,18 @@ func TestRevokeFencesInFlightVerbs(t *testing.T) {
 
 // TestSetCrashedFencesInFlightVerbs is the same property for the local
 // crash flag — the window that let stale applies land in the chaos test
-// before the barrier existed.
+// before the barrier existed. The crash fences only the crashed node's
+// own shard: an unrelated issuer keeps succeeding throughout.
 func TestSetCrashedFencesInFlightVerbs(t *testing.T) {
 	f := NewFabric(LatencyModel{})
 	f.AddNode(0)
 	f.AddNode(1)
-	f.RegisterRegion(1, 0, 64)
+	f.AddNode(2)
+	f.RegisterRegion(1, 0, 128)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	other := bystander(t, &wg, f, 2, Addr{Node: 1, Offset: 64}, stop)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -140,6 +189,7 @@ func TestSetCrashedFencesInFlightVerbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond) //pandora:wallclock real-concurrency test: lets the live hammer goroutines race the fence
+	awaitProgress(t, other, "unrelated issuer after SetCrashed(0)")
 	after := make([]byte, 1)
 	if err := f.Endpoint(1).Read(Addr{Node: 1}, after); err != nil {
 		t.Fatal(err)
@@ -148,6 +198,78 @@ func TestSetCrashedFencesInFlightVerbs(t *testing.T) {
 	wg.Wait()
 	if snap[0] != after[0] {
 		t.Fatalf("memory changed after crash barrier: %d -> %d", snap[0], after[0])
+	}
+}
+
+// TestNodeFencesCoverEveryIssuer: SetDown and PowerFail fence a TARGET
+// node, and verbs from any issuer may be in flight toward it, so both
+// must flush every issuer's barrier shard. Two issuers hammer the node
+// across the transition; once it returns, the memory must never change.
+// Each transition is raced a few times, since one race may happen to
+// catch no verb mid-flight.
+func TestNodeFencesCoverEveryIssuer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fence func(f *Fabric)
+	}{
+		{"SetDown", func(f *Fabric) { f.SetDown(1, true) }},
+		{"PowerFail", func(f *Fabric) { f.PowerFail(1) }},
+	} {
+		for rep := 0; rep < 4; rep++ {
+			t.Run(tc.name, func(t *testing.T) {
+				f := NewFabric(LatencyModel{})
+				f.AddNode(0)
+				f.AddNode(1)
+				f.AddNode(2)
+				r := f.RegisterRegion(1, 0, 64)
+
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				var landed [2]atomic.Int64
+				for i, src := range []NodeID{0, 2} {
+					for k := 0; k < 2; k++ {
+						wg.Add(1)
+						go func(i int, src NodeID, val byte) {
+							defer wg.Done()
+							ep := f.Endpoint(src)
+							buf := []byte{val}
+							for {
+								select {
+								case <-stop:
+									return
+								default:
+								}
+								switch err := ep.Write(Addr{Node: 1}, buf); {
+								case err == nil:
+									landed[i].Add(1)
+								case !errors.Is(err, ErrNodeDown):
+									t.Errorf("issuer %d: %v", src, err)
+									return
+								}
+							}
+						}(i, src, byte(2*i+k+1))
+					}
+				}
+				// Both issuers have verbs landing before the fence.
+				awaitProgress(t, &landed[0], "issuer 0")
+				awaitProgress(t, &landed[1], "issuer 2")
+				tc.fence(f)
+				snap, err := r.ReadUint64(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(2 * time.Millisecond) //pandora:wallclock real-concurrency test: lets the live hammer goroutines race the fence
+				after, err := r.ReadUint64(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				close(stop)
+				wg.Wait()
+				if snap != after {
+					t.Fatalf("memory changed after %s fence: %#x -> %#x", tc.name, snap, after)
+				}
+			})
+		}
 	}
 }
 
@@ -261,9 +383,10 @@ func TestRevokeFencesParallelFanout(t *testing.T) {
 	}
 }
 
-// TestSetCrashedFencesParallelFanout: the issuer-side crash fence must
-// cover every barrier shard, because a parallel batch has verbs in
-// flight toward several nodes at once.
+// TestSetCrashedFencesParallelFanout: a parallel batch has verbs in
+// flight toward several nodes at once; every one of them holds its
+// issuer's barrier shard, so fencing that one shard must stop the
+// crashed issuer's verbs on every target.
 func TestSetCrashedFencesParallelFanout(t *testing.T) {
 	const nodes = 4
 	f := NewFabric(LatencyModel{})
@@ -302,8 +425,8 @@ func TestSetCrashedFencesParallelFanout(t *testing.T) {
 	}
 	time.Sleep(2 * time.Millisecond) //pandora:wallclock real-concurrency test: lets the live hammer goroutines race the fence
 	f.SetCrashed(0, true)
-	// All shards were fenced: no verb of the crashed issuer may land on
-	// ANY node after SetCrashed returns.
+	// The issuer's shard was fenced: no verb of the crashed issuer may
+	// land on ANY node after SetCrashed returns.
 	snap := make([]byte, nodes)
 	for i := 1; i <= nodes; i++ {
 		if err := f.Endpoint(NodeID(i)).Read(Addr{Node: NodeID(i)}, snap[i-1:i]); err != nil {

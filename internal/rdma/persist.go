@@ -56,10 +56,10 @@ func (r *Region) flush(off uint64, n int) error {
 	if n == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, n)
+	first, last := r.lock(off, n)
 	r.ensureDurable()
 	copy(r.durable[off:off+uint64(n)], r.buf[off:off+uint64(n)])
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return nil
 }
 
@@ -67,16 +67,16 @@ func (r *Region) flush(off uint64, n int) error {
 // setup-time loading (preload, re-replication copies) is considered
 // persisted.
 func (r *Region) MarkDurable() {
-	r.whole.Lock()
-	defer r.whole.Unlock()
+	first, last := r.lock(0, len(r.buf))
+	defer r.unlock(first, last)
 	r.ensureDurable()
 	copy(r.durable, r.buf)
 }
 
 // revertToDurable discards volatile state (power failure).
 func (r *Region) revertToDurable() {
-	r.whole.Lock()
-	defer r.whole.Unlock()
+	first, last := r.lock(0, len(r.buf))
+	defer r.unlock(first, last)
 	r.ensureDurable()
 	copy(r.buf, r.durable)
 }
@@ -90,7 +90,7 @@ func (f *Fabric) PowerFail(node NodeID) {
 	if ns == nil {
 		return
 	}
-	ns.verbs.Lock() // fence in-flight verbs to this node, then cut power
+	fenced := f.fence() // verbs from any issuer may target the node
 	ns.down.Store(true)
 	ns.mu.Lock()
 	regions := make([]*Region, 0, len(ns.regions))
@@ -99,7 +99,7 @@ func (f *Fabric) PowerFail(node NodeID) {
 		regions = append(regions, r)
 	}
 	ns.mu.Unlock()
-	ns.verbs.Unlock()
+	f.unfence(fenced)
 	f.epoch.Add(1)
 	f.links.broadcast() // unblock verbs stalled toward the dead node
 	for _, r := range regions {

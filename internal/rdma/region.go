@@ -12,23 +12,12 @@ import (
 // model.
 const stripeBytes = 64
 
-// wholeOpSpan is the stripe count above which a verb takes the
-// region-wide lock instead of individual stripes. Small verbs (lock
-// words, slot headers, validation reads) keep fine-grained striping so
-// hot CAS words on different slots never contend; bulk payloads (log
-// writes, replica WRITEs, KiB-sized reads) would otherwise pay hundreds
-// of stripe acquisitions per verb — the dominant cost of the old
-// serial engine on large transfers.
-const wholeOpSpan = 4
-
-// Region is a registered memory region hosted by a node. All verb-level
-// access goes through a two-level lock: verbs spanning at most
-// wholeOpSpan stripes hold the whole-region lock shared plus their
-// stripes exclusively; larger verbs hold the whole-region lock
-// exclusively and touch no stripes. Either way each verb is applied
-// atomically and race-free against concurrent verbs from any endpoint.
+// Region is a registered memory region hosted by a node. Every verb
+// locks the 64 B stripes it covers, in ascending order — which keeps
+// wide verbs deadlock-free against each other — so each verb is applied
+// atomically and race-free against concurrent verbs from any endpoint,
+// and verbs on disjoint stripes share no lock word.
 type Region struct {
-	whole   sync.RWMutex
 	buf     []byte
 	stripes []sync.Mutex
 	// durable is the NVM image when persistence is modelled (see
@@ -47,32 +36,21 @@ func NewRegion(size int) *Region {
 // Size returns the region size in bytes.
 func (r *Region) Size() int { return len(r.buf) }
 
-// lock acquires the stripes covering [off, off+n) — or the whole-region
-// lock for wide ranges — and returns the state unlock needs. Bounds must
-// already be checked.
-func (r *Region) lock(off uint64, n int) (first, last int, whole bool) {
+// lock acquires the stripes covering [off, off+n) in ascending order
+// and returns the range unlock needs. Bounds must already be checked.
+func (r *Region) lock(off uint64, n int) (first, last int) {
 	first = int(off) / stripeBytes
 	last = (int(off) + n - 1) / stripeBytes
-	if last-first >= wholeOpSpan {
-		r.whole.Lock()
-		return 0, 0, true
-	}
-	r.whole.RLock()
 	for i := first; i <= last; i++ {
 		r.stripes[i].Lock()
 	}
-	return first, last, false
+	return first, last
 }
 
-func (r *Region) unlock(first, last int, whole bool) {
-	if whole {
-		r.whole.Unlock()
-		return
-	}
+func (r *Region) unlock(first, last int) {
 	for i := last; i >= first; i-- {
 		r.stripes[i].Unlock()
 	}
-	r.whole.RUnlock()
 }
 
 func (r *Region) checkBounds(off uint64, n int) error {
@@ -90,9 +68,9 @@ func (r *Region) read(off uint64, dst []byte) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, len(dst))
+	first, last := r.lock(off, len(dst))
 	copy(dst, r.buf[off:])
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return nil
 }
 
@@ -104,9 +82,9 @@ func (r *Region) write(off uint64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, len(src))
+	first, last := r.lock(off, len(src))
 	copy(r.buf[off:], src)
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return nil
 }
 
@@ -120,12 +98,12 @@ func (r *Region) cas(off uint64, expect, swap uint64) (uint64, error) {
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last := r.lock(off, 8)
 	old := binary.LittleEndian.Uint64(r.buf[off:])
 	if old == expect {
 		binary.LittleEndian.PutUint64(r.buf[off:], swap)
 	}
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return old, nil
 }
 
@@ -138,10 +116,10 @@ func (r *Region) faa(off uint64, delta uint64) (uint64, error) {
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last := r.lock(off, 8)
 	old := binary.LittleEndian.Uint64(r.buf[off:])
 	binary.LittleEndian.PutUint64(r.buf[off:], old+delta)
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return old, nil
 }
 
@@ -161,8 +139,8 @@ func (r *Region) ReadUint64(off uint64) (uint64, error) {
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last := r.lock(off, 8)
 	v := binary.LittleEndian.Uint64(r.buf[off:])
-	r.unlock(first, last, whole)
+	r.unlock(first, last)
 	return v, nil
 }
