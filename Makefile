@@ -10,7 +10,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench-smoke chaos-smoke proptest soak clean
+.PHONY: all build lint test bench-smoke perfbench chaos-smoke proptest soak clean
 
 all: build lint test
 
@@ -49,6 +49,13 @@ bench-smoke:
 	# virtual clock; its artifact must match bin/BENCH_commitpipe.json.
 	$(GO) run ./cmd/pandora-bench -experiment commitpipe -quick -json $(BIN)/BENCH_commitpipe.gen.json
 	cmp $(BIN)/BENCH_commitpipe.gen.json $(BIN)/BENCH_commitpipe.json
+
+# Benchmark harness lane: perfbench is its own module (it imports this
+# one through a replace directive), so the root `go test ./...` does not
+# reach its self-tests: every workload runs briefly, its metrics match
+# BENCHMARK.json, and the audit catches a planted lost update.
+perfbench:
+	cd perfbench && $(GO) test ./...
 
 # Property-based litmus lane: the proptest engine's own tests, then the
 # randomized multi-tx histories across the knob matrix (seeded corpus,

@@ -72,8 +72,12 @@ type ComputeNode struct {
 	// validation catches it (DESIGN.md §11).
 	cacheEpoch atomic.Uint64
 
+	// addrCache holds each resolved key's slot, one map per table
+	// (indexed by TableID). A key's partition is not stored:
+	// Ring().Partition rebuilds it, and no ring change alters the
+	// partition count it depends on.
 	addrMu    sync.RWMutex
-	addrCache map[addrKey]objRef
+	addrCache []map[kvlayout.Key]uint64
 
 	coords []*Coordinator
 
@@ -98,11 +102,6 @@ type ComputeNode struct {
 	stallPoll time.Duration
 }
 
-type addrKey struct {
-	table kvlayout.TableID
-	key   kvlayout.Key
-}
-
 // objRef pins an object's physical location.
 type objRef struct {
 	table     kvlayout.TableID
@@ -121,11 +120,11 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema [
 		schema:    schema,
 		opts:      opts,
 		failed:    fdetect.NewBitset(),
-		addrCache: make(map[addrKey]objRef),
 		hbStop:    make(chan struct{}),
 		stallPoll: 20 * time.Microsecond,
 	}
 	cn.ring.Store(ring)
+	cn.resetAddrCache()
 	// EnsureNode rather than AddNode: a restarted compute server rejoins
 	// under its existing fabric identity (with fresh coordinator-ids).
 	fab.EnsureNode(id)
@@ -326,9 +325,7 @@ func (cn *ComputeNode) SwapRing(r *place.Ring) {
 	for _, co := range cn.coords {
 		co.logServers = r.LogServers(cn.id)
 	}
-	cn.addrMu.Lock()
-	cn.addrCache = make(map[addrKey]objRef)
-	cn.addrMu.Unlock()
+	cn.resetAddrCache()
 	cn.deadMem.clear()
 	cn.cacheEpoch.Add(1)
 }
@@ -409,9 +406,7 @@ func (cn *ComputeNode) InstallFinalView(r *place.Ring) {
 	for _, co := range cn.coords {
 		co.logServers = r.LogServers(cn.id)
 	}
-	cn.addrMu.Lock()
-	cn.addrCache = make(map[addrKey]objRef)
-	cn.addrMu.Unlock()
+	cn.resetAddrCache()
 	cn.cfgEpoch.Add(1)
 	cn.cacheEpoch.Add(1)
 }

@@ -40,25 +40,45 @@ func (cn *ComputeNode) tableAddr(node rdma.NodeID, ref objRef, fieldOff uint64) 
 	}
 }
 
-// cachedRef consults the node's address cache.
+// resetAddrCache empties the node's address cache: one fresh map per
+// schema table.
+func (cn *ComputeNode) resetAddrCache() {
+	tables := make([]map[kvlayout.Key]uint64, len(cn.schema))
+	for i := range tables {
+		tables[i] = make(map[kvlayout.Key]uint64)
+	}
+	cn.addrMu.Lock()
+	cn.addrCache = tables
+	cn.addrMu.Unlock()
+}
+
+// cachedRef consults the node's address cache. A table outside the
+// schema is a miss.
 func (cn *ComputeNode) cachedRef(table kvlayout.TableID, key kvlayout.Key) (objRef, bool) {
+	var slot uint64
+	ok := false
 	cn.addrMu.RLock()
-	defer cn.addrMu.RUnlock()
-	ref, ok := cn.addrCache[addrKey{table, key}]
-	return ref, ok
+	if int(table) < len(cn.addrCache) {
+		slot, ok = cn.addrCache[table][key]
+	}
+	cn.addrMu.RUnlock()
+	if !ok {
+		return objRef{}, false
+	}
+	return objRef{table: table, key: key, partition: cn.Ring().Partition(key), slot: slot}, true
 }
 
 // cacheRef records a resolved address.
 func (cn *ComputeNode) cacheRef(ref objRef) {
 	cn.addrMu.Lock()
-	cn.addrCache[addrKey{ref.table, ref.key}] = ref
+	cn.addrCache[ref.table][ref.key] = ref.slot
 	cn.addrMu.Unlock()
 }
 
 // dropRef invalidates a cached address (stale after a delete).
 func (cn *ComputeNode) dropRef(table kvlayout.TableID, key kvlayout.Key) {
 	cn.addrMu.Lock()
-	delete(cn.addrCache, addrKey{table, key})
+	delete(cn.addrCache[table], key)
 	cn.addrMu.Unlock()
 }
 

@@ -298,6 +298,25 @@ func BenchmarkDoFanout(b *testing.B) {
 	})
 }
 
+// BenchmarkRegionWideRead issues one 256 KiB READ per op: the shape of
+// recovery's log READ, which fetches a failed compute node's whole log
+// region (CoordsPerNode × 32 KiB, 8 coordinators) from one log server.
+// It is the widest verb the protocol issues, so it measures the region
+// lock's per-stripe cost.
+func BenchmarkRegionWideRead(b *testing.B) {
+	const size = 256 << 10
+	f := benchFabric(b, 1, size)
+	ep := f.Endpoint(0)
+	buf := make([]byte, size)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ep.Read(Addr{Node: 1}, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDoMixedContention issues small 8-node fan-outs from several
 // goroutines at once, all through endpoints of issuer node 0: they share
 // one barrier shard (read side only) and every target region, so this

@@ -40,11 +40,19 @@ func (ep *Endpoint) Flush(addr Addr, n int) error {
 	return nil
 }
 
-// ensureDurable lazily allocates the durable image.
-func (r *Region) ensureDurable() {
-	if r.durable == nil {
-		r.durable = make([]byte, len(r.buf))
+// durableImage returns the durable image, allocating it on first use.
+// Flushes of disjoint stripes can get here at the same time, so the
+// image is published with a CAS and every caller copies into the one
+// that won.
+func (r *Region) durableImage() []byte {
+	if img := r.durable.Load(); img != nil {
+		return *img
 	}
+	img := make([]byte, len(r.buf))
+	if !r.durable.CompareAndSwap(nil, &img) {
+		return *r.durable.Load()
+	}
+	return img
 }
 
 // flush copies [off, off+n) from the volatile buffer to the durable
@@ -57,8 +65,7 @@ func (r *Region) flush(off uint64, n int) error {
 		return nil
 	}
 	first, last := r.lock(off, n)
-	r.ensureDurable()
-	copy(r.durable[off:off+uint64(n)], r.buf[off:off+uint64(n)])
+	copy(r.durableImage()[off:off+uint64(n)], r.buf[off:off+uint64(n)])
 	r.unlock(first, last)
 	return nil
 }
@@ -69,16 +76,14 @@ func (r *Region) flush(off uint64, n int) error {
 func (r *Region) MarkDurable() {
 	first, last := r.lock(0, len(r.buf))
 	defer r.unlock(first, last)
-	r.ensureDurable()
-	copy(r.durable, r.buf)
+	copy(r.durableImage(), r.buf)
 }
 
 // revertToDurable discards volatile state (power failure).
 func (r *Region) revertToDurable() {
 	first, last := r.lock(0, len(r.buf))
 	defer r.unlock(first, last)
-	r.ensureDurable()
-	copy(r.buf, r.durable)
+	copy(r.buf, r.durableImage())
 }
 
 // PowerFail models a power failure of a memory node with NVM: the node

@@ -2,7 +2,8 @@ package rdma
 
 import (
 	"encoding/binary"
-	"sync"
+	"runtime"
+	"sync/atomic"
 )
 
 // stripeBytes is the granularity of the region's internal lock striping.
@@ -12,44 +13,86 @@ import (
 // model.
 const stripeBytes = 64
 
+// lockSpins is how many failed attempts lockWord makes on a lock word
+// before it starts yielding the processor: a holder may have been
+// preempted, and with a small GOMAXPROCS spinning would only delay it.
+// Fewer spins hand a waiting transaction's processor to another
+// coordinator too early, and its reads age into validation aborts
+// (EXPERIMENTS.md, "Stripe-bitmap region locks").
+const lockSpins = 64
+
 // Region is a registered memory region hosted by a node. Every verb
-// locks the 64 B stripes it covers, in ascending order — which keeps
-// wide verbs deadlock-free against each other — so each verb is applied
-// atomically and race-free against concurrent verbs from any endpoint,
-// and verbs on disjoint stripes share no lock word.
+// locks the 64 B stripes it covers, so each verb is applied atomically
+// and race-free against concurrent verbs from any endpoint, and verbs
+// on disjoint stripes never wait for each other. The stripe locks are
+// a bitmap: one bit per stripe, 64 stripes per lock word.
 type Region struct {
-	buf     []byte
-	stripes []sync.Mutex
+	buf   []byte
+	locks []atomic.Uint64
 	// durable is the NVM image when persistence is modelled (see
 	// persist.go); nil otherwise.
-	durable []byte
+	durable atomic.Pointer[[]byte]
 }
 
 // NewRegion allocates a zeroed region of the given size.
 func NewRegion(size int) *Region {
+	stripes := (size + stripeBytes - 1) / stripeBytes
 	return &Region{
-		buf:     make([]byte, size),
-		stripes: make([]sync.Mutex, (size+stripeBytes-1)/stripeBytes+1),
+		buf:   make([]byte, size),
+		locks: make([]atomic.Uint64, (stripes+63)/64),
 	}
 }
 
 // Size returns the region size in bytes.
 func (r *Region) Size() int { return len(r.buf) }
 
-// lock acquires the stripes covering [off, off+n) in ascending order
-// and returns the range unlock needs. Bounds must already be checked.
+// stripeMask returns the bits of lock word w that cover stripes
+// [first, last].
+func stripeMask(w, first, last int) uint64 {
+	lo, hi := max(first, 64*w)-64*w, min(last, 64*w+63)-64*w
+	return ^uint64(0) >> (63 - (hi - lo)) << lo
+}
+
+// lock acquires the stripes covering [off, off+n) and returns the
+// range unlock needs. It takes the covered bits of each lock word in
+// one CAS, word by word in ascending order, which keeps wide verbs
+// deadlock-free against each other. Bounds must already be checked.
 func (r *Region) lock(off uint64, n int) (first, last int) {
+	if n <= 0 { // an empty region's MarkDurable: nothing to lock
+		return 0, -1
+	}
 	first = int(off) / stripeBytes
 	last = (int(off) + n - 1) / stripeBytes
-	for i := first; i <= last; i++ {
-		r.stripes[i].Lock()
+	for w := first / 64; w <= last/64; w++ {
+		lockWord(&r.locks[w], stripeMask(w, first, last))
 	}
 	return first, last
 }
 
+func lockWord(word *atomic.Uint64, mask uint64) {
+	for spins := 0; ; spins++ {
+		if old := word.Load(); old&mask == 0 && word.CompareAndSwap(old, old|mask) {
+			return
+		}
+		if spins >= lockSpins {
+			runtime.Gosched()
+		}
+	}
+}
+
+// unlock releases the stripes lock took, clearing each word's bits with
+// a CAS loop (go 1.22 has no atomic.Uint64.And).
 func (r *Region) unlock(first, last int) {
-	for i := last; i >= first; i-- {
-		r.stripes[i].Unlock()
+	if last < first {
+		return
+	}
+	for w := first / 64; w <= last/64; w++ {
+		word, mask := &r.locks[w], stripeMask(w, first, last)
+		for {
+			if old := word.Load(); word.CompareAndSwap(old, old&^mask) {
+				break
+			}
+		}
 	}
 }
 

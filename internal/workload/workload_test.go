@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,12 +45,14 @@ func TestWorkloadsRunAndCommit(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			c := newCluster(t, w, nil)
+			before := c.MetricsSnapshot()
 			res := Run(DriverConfig{
 				Cluster:  c,
 				Workload: w,
 				Duration: 150 * time.Millisecond,
 				Seed:     1,
 			})
+			kinds := abortKinds(c.MetricsSnapshot().Sub(before))
 			if res.Committed == 0 {
 				t.Fatalf("no transactions committed: %+v", res)
 			}
@@ -60,11 +64,27 @@ func TestWorkloadsRunAndCommit(t *testing.T) {
 			// warehouse/district YTD rows), so only the low-contention
 			// workloads get the strict bound.
 			if w.Name() != "tpcc" && res.Aborted > res.Committed {
-				t.Fatalf("abort-dominated run: %+v", res)
+				t.Fatalf("abort-dominated run: %+v; aborts by kind: %s", res, kinds)
 			}
-			t.Logf("%s: %d committed, %d aborted (%.0f tps)", w.Name(), res.Committed, res.Aborted, res.CommitRate())
+			t.Logf("%s: %d committed, %d aborted (%.0f tps); aborts by kind: %s", w.Name(), res.Committed, res.Aborted, res.CommitRate(), kinds)
 		})
 	}
+}
+
+// abortKinds formats the nonzero abort counts of a metrics delta by
+// kind. Voluntary aborts (SmallBank's insufficient funds) count as
+// "other".
+func abortKinds(m pandora.Metrics) string {
+	var b strings.Builder
+	for _, a := range m.Aborts {
+		if a.Count != 0 {
+			fmt.Fprintf(&b, " %s=%d", a.Reason, a.Count)
+		}
+	}
+	if b.Len() == 0 {
+		return "none"
+	}
+	return b.String()[1:]
 }
 
 func TestDriverSurvivesComputeCrash(t *testing.T) {
